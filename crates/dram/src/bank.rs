@@ -160,11 +160,6 @@ impl Bank {
         self.next_act_allowed = self.next_act_allowed.max(until);
     }
 
-    /// Records a rank-level refresh command against this bank.
-    pub fn record_refresh(&mut self) {
-        self.counts.record(DramCommand::Refresh);
-    }
-
     /// Records one row-transfer (swap streaming) command.
     pub fn record_swap_transfer(&mut self) {
         self.counts.record(DramCommand::SwapTransfer);

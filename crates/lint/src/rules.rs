@@ -9,6 +9,9 @@
 //! | `index-panic`   | hot-loop crates      | `expr[non-literal]` indexing                |
 //! | `narrow-cast`   | `rrs-core`           | narrowing `as u8/u16/u32/i8/i16/i32` casts  |
 //!
+//! The hot-loop crates ([`HOT_CRATES`]) are `core`, `dram`, `mem-ctrl`,
+//! `mitigations`, `sim`, `telemetry` and `flat`.
+//!
 //! An escape is a comment `// lint: allow(<rule>) — <reason>` on the same
 //! line as the violation or on the line directly above it; the reason is
 //! mandatory. Code under `#[cfg(test)]` (and `tests/`, `benches/`,
@@ -35,8 +38,17 @@ pub const SIM_CRATES: &[&str] = &[
 ];
 
 /// Crates on the per-activation hot path (§4.1: every access consults the
-/// RIT), where a panic aborts a whole campaign cell.
-pub const HOT_CRATES: &[&str] = &["core", "dram", "mem-ctrl", "sim", "telemetry", "flat"];
+/// RIT, and every activation runs the mitigation's `activation_delay` and
+/// `on_activation`), where a panic aborts a whole campaign cell.
+pub const HOT_CRATES: &[&str] = &[
+    "core",
+    "dram",
+    "mem-ctrl",
+    "mitigations",
+    "sim",
+    "telemetry",
+    "flat",
+];
 
 /// All rule ids, in reporting order.
 pub const ALL_RULES: &[&str] = &[
@@ -280,6 +292,14 @@ mod tests {
         )
         .is_empty());
         assert!(run("core", "let v = vec![0; n];").is_empty());
+    }
+
+    #[test]
+    fn panic_rules_cover_the_mitigations_crate() {
+        let src = "let a = t[i]; x.unwrap();";
+        let rules: Vec<_> = run("mitigations", src).iter().map(|v| v.rule).collect();
+        assert_eq!(rules, ["index-panic", "panic-site"]);
+        assert!(run("workloads", src).is_empty());
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! to the Row Hammer fault model.
 
 use rrs_dram::bank::Bank;
+use rrs_dram::command::CommandCounts;
 use rrs_dram::geometry::{DramGeometry, RowAddr};
 use rrs_dram::hammer::{BitFlip, HammerConfig, HammerModel};
 use rrs_dram::timing::{Cycle, TimingParams};
@@ -186,12 +187,74 @@ impl CtrlMetrics {
     }
 }
 
+/// The controller's banks, with rank refresh applied lazily. A refresh
+/// tick only counts itself and records its end; each bank applies the
+/// ticks it missed when it is next looked up, as one
+/// `force_busy_until(latest end)`. That equals applying every tick as it
+/// happened: `force_busy_until` is a max-and-close, tick ends only
+/// increase, and it commutes with swaps and full refreshes. So a tick
+/// costs the same however many banks there are.
+struct Banks {
+    /// Each bank with the number of refresh ticks it has applied.
+    banks: Vec<(Bank, u64)>,
+    /// Refresh ticks issued so far.
+    ticks: u64,
+    /// End of the latest refresh tick.
+    end: Cycle,
+}
+
+impl Banks {
+    fn new(count: usize, timing: TimingParams) -> Self {
+        Banks {
+            banks: (0..count).map(|_| (Bank::new(timing), 0)).collect(),
+            ticks: 0,
+            end: 0,
+        }
+    }
+
+    /// Issues one refresh tick, ending at `end`, to every bank.
+    fn refresh(&mut self, end: Cycle) {
+        self.ticks += 1;
+        self.end = end;
+    }
+
+    /// Bank `idx`, with its pending refresh ticks applied: the only way to
+    /// reach a bank's open row or busy times.
+    fn get_mut(&mut self, idx: usize) -> &mut Bank {
+        // lint: allow(index-panic) — every caller passes a `bank_index`, which is `< geometry.total_banks()` by construction, and `banks` has exactly that length
+        let (bank, applied) = &mut self.banks[idx];
+        if *applied != self.ticks {
+            *applied = self.ticks;
+            bank.force_busy_until(self.end);
+        }
+        bank
+    }
+
+    /// Commands issued to the banks, plus one refresh command per rank per
+    /// tick.
+    fn command_counts(&self, ranks: u64) -> CommandCounts {
+        let mut counts = self
+            .banks
+            .iter()
+            .fold(CommandCounts::new(), |a, (b, _)| a + b.counts());
+        counts.refreshes += self.ticks * ranks;
+        counts
+    }
+
+    /// Every bank, for operations that touch no open row or busy time
+    /// or that commute with pending refreshes (full refresh, epoch
+    /// statistics).
+    fn all(&mut self) -> impl Iterator<Item = &mut Bank> {
+        self.banks.iter_mut().map(|(bank, _)| bank)
+    }
+}
+
 /// The memory controller.
 pub struct MemoryController {
     config: ControllerConfig,
     mapper: AddressMapper,
     mitigation: Box<dyn Mitigation>,
-    banks: Vec<Bank>,
+    banks: Banks,
     bus_free: Vec<Cycle>,
     channel_blocked: Vec<Cycle>,
     hammer: HammerModel,
@@ -223,9 +286,7 @@ impl MemoryController {
         mut mitigation: Box<dyn Mitigation>,
         telemetry: Telemetry,
     ) -> Self {
-        let banks = (0..config.geometry.total_banks())
-            .map(|_| Bank::new(config.timing))
-            .collect();
+        let banks = Banks::new(config.geometry.total_banks(), config.timing);
         let hammer = HammerModel::new(config.hammer.clone(), config.geometry);
         mitigation.attach_telemetry(&telemetry);
         let metrics = CtrlMetrics::register(&telemetry);
@@ -336,18 +397,16 @@ impl MemoryController {
         self.clock
     }
 
-    /// Per-bank command counts (for the power model).
-    pub fn command_counts(&self) -> rrs_dram::command::CommandCounts {
+    /// Per-bank command counts (for the power model), plus one refresh
+    /// command per rank per refresh tick.
+    pub fn command_counts(&self) -> CommandCounts {
+        let g = &self.config.geometry;
         self.banks
-            .iter()
-            .map(|b| b.counts())
-            .fold(rrs_dram::command::CommandCounts::new(), |a, b| a + b)
+            .command_counts((g.channels * g.ranks_per_channel) as u64)
     }
 
     fn bank_mut(&mut self, addr: RowAddr) -> &mut Bank {
-        let idx = addr.bank_index(&self.config.geometry);
-        // lint: allow(index-panic) — `bank_index` is `< geometry.total_banks()` by construction and `banks` has exactly that length
-        &mut self.banks[idx]
+        self.banks.get_mut(addr.bank_index(&self.config.geometry))
     }
 
     /// Serves one access to physical byte address `addr` at time `now`;
@@ -368,7 +427,9 @@ impl MemoryController {
         let mut start = now + self.mitigation.access_latency();
         start = start.max(self.channel_blocked.get(ch).copied().unwrap_or(0));
 
-        let will_activate = self.bank_mut(physical).open_row() != Some(physical.row);
+        let bank_idx = physical.bank_index(&self.config.geometry);
+        let bank = self.banks.get_mut(bank_idx);
+        let will_activate = bank.open_row() != Some(physical.row);
         // Throttling (BlockHammer): the mitigation may require this row's
         // activation to wait until `prospective + delay`, where
         // `prospective` is when the ACT would otherwise issue (so bank
@@ -378,14 +439,12 @@ impl MemoryController {
         // the Row Hammer accounting observe the delayed activation time.
         let mut delay = 0;
         if will_activate {
-            let prospective = self.bank_mut(physical).earliest_activate(start);
+            let prospective = bank.earliest_activate(start);
             delay = self.mitigation.activation_delay(logical, prospective);
             self.metrics.mitigation_delay_cycles.add(delay);
         }
 
-        let outcome = self
-            .bank_mut(physical)
-            .access(physical.row, is_write, start);
+        let outcome = bank.access(physical.row, is_write, start);
         if is_write {
             self.metrics.writes.inc();
         } else {
@@ -399,7 +458,7 @@ impl MemoryController {
                 self.telemetry.set_now(at);
                 self.telemetry.emit(Event::Activation {
                     at,
-                    bank: physical.bank_index(&self.config.geometry) as u64,
+                    bank: bank_idx as u64,
                     row: physical.row.0 as u64,
                 });
             }
@@ -414,7 +473,7 @@ impl MemoryController {
         }
 
         if self.config.page_policy == PagePolicy::Closed {
-            self.bank_mut(physical).precharge(outcome.data_at);
+            self.banks.get_mut(bank_idx).precharge(outcome.data_at);
         }
 
         // The held-aside (throttled) request must not reserve the shared
@@ -448,10 +507,8 @@ impl MemoryController {
     fn maintain(&mut self) {
         while self.next_refresh <= self.clock || self.next_epoch <= self.clock {
             if self.next_epoch <= self.next_refresh {
-                let at = self.next_epoch;
-                self.clock = self.clock.max(at);
+                self.clock = self.clock.max(self.next_epoch);
                 self.end_epoch();
-                let _ = at;
             } else {
                 self.do_refresh();
             }
@@ -459,20 +516,11 @@ impl MemoryController {
     }
 
     fn do_refresh(&mut self) {
-        let end = self.next_refresh + self.config.timing.t_rfc;
         self.telemetry.emit(Event::Refresh {
             at: self.next_refresh,
         });
-        // Banks are laid out `((channel * ranks) + rank) * banks_per_rank +
-        // bank`, so walking the vector in order visits each rank's bank 0
-        // exactly when `i % banks_per_rank == 0`.
-        let banks_per_rank = self.config.geometry.banks_per_rank;
-        for (i, bank) in self.banks.iter_mut().enumerate() {
-            bank.force_busy_until(end);
-            if i % banks_per_rank == 0 {
-                bank.record_refresh();
-            }
-        }
+        self.banks
+            .refresh(self.next_refresh + self.config.timing.t_rfc);
         self.next_refresh += self.config.timing.t_refi;
     }
 
@@ -491,7 +539,7 @@ impl MemoryController {
         self.mitigation.on_epoch_end(at, &mut actions);
         self.execute_actions(&actions, at);
         self.action_scratch = actions;
-        for b in &mut self.banks {
+        for b in self.banks.all() {
             b.begin_epoch();
         }
         let epoch = self.metrics.epochs_completed.get();
@@ -580,7 +628,7 @@ impl MemoryController {
                     // 8192-row refresh group (§2.4 quotes ≈2.8 ms).
                     let groups = 8_192u64;
                     let end = at + groups * self.config.timing.t_rfc;
-                    for bank in &mut self.banks {
+                    for bank in self.banks.all() {
                         bank.force_busy_until(end);
                     }
                     for ch in &mut self.channel_blocked {
@@ -680,6 +728,83 @@ mod tests {
         let done = c.access(0, false, t.t_refi + 1);
         // Activation cannot begin until tRFC has elapsed.
         assert!(done >= t.t_refi + t.t_rfc + t.t_rcd + t.t_cas);
+    }
+
+    /// `test_config` timing on a geometry with several ranks, so per-rank
+    /// refresh accounting is distinguishable from per-bank.
+    fn multi_rank_controller() -> MemoryController {
+        let mut cfg = ControllerConfig::test_config();
+        cfg.geometry = DramGeometry {
+            channels: 2,
+            ranks_per_channel: 2,
+            banks_per_rank: 4,
+            rows_per_bank: 1024,
+            row_size_bytes: 8 * 1024,
+        };
+        MemoryController::new(cfg, Box::new(NoMitigation::new()))
+    }
+
+    #[test]
+    fn idle_refresh_ticks_count_one_command_per_rank() {
+        let mut c = multi_rank_controller();
+        let t = c.config().timing;
+        let ranks = 4;
+        let k = 7;
+        c.advance_to(k * t.t_refi);
+        assert_eq!(c.command_counts().refreshes, k * ranks);
+        // Touching one bank does not change the rank-level count.
+        let mapper = *c.mapper();
+        c.access(
+            mapper.row_base(RowAddr::new(1, 1, 3, 9)),
+            false,
+            k * t.t_refi,
+        );
+        assert_eq!(c.command_counts().refreshes, k * ranks);
+        c.advance_to((k + 3) * t.t_refi);
+        assert_eq!(c.command_counts().refreshes, (k + 3) * ranks);
+    }
+
+    #[test]
+    fn access_to_an_idle_bank_waits_out_the_refresh_window() {
+        let mut c = multi_rank_controller();
+        let t = c.config().timing;
+        let mapper = *c.mapper();
+        // Keep one bank busy so the controller's clock moves, and leave
+        // another idle across several refresh ticks.
+        let busy = mapper.row_base(RowAddr::new(0, 0, 0, 1));
+        let idle = mapper.row_base(RowAddr::new(1, 1, 2, 7));
+        let mut now = 0;
+        while now < 3 * t.t_refi {
+            now = c.access(busy, false, now + t.t_rc);
+        }
+        let tick = (now / t.t_refi + 1) * t.t_refi;
+        let done = c.access(idle, false, tick + 1);
+        assert!(
+            done >= tick + t.t_rfc + t.t_rcd + t.t_cas,
+            "access at {} finished at {done}, inside the refresh ending at {}",
+            tick + 1,
+            tick + t.t_rfc
+        );
+    }
+
+    #[test]
+    fn row_open_before_a_refresh_is_reactivated_after_it() {
+        let mut c = multi_rank_controller();
+        let t = c.config().timing;
+        let mapper = *c.mapper();
+        let row = mapper.row_base(RowAddr::new(1, 0, 1, 33));
+        let d1 = c.access(row, false, 0);
+        c.access(row, false, d1);
+        assert_eq!(c.stats().activations, 1);
+        assert_eq!(c.stats().row_hits, 1);
+        // A refresh tick closes every row buffer.
+        let after = t.t_refi + t.t_rfc + 1;
+        let done = c.access(row, false, after);
+        assert_eq!(c.stats().activations, 2);
+        assert_eq!(c.stats().row_hits, 1);
+        assert!(done >= after + t.t_rcd + t.t_cas);
+        // A refresh closes rows without a precharge command.
+        assert_eq!(c.command_counts().precharges, 0);
     }
 
     #[test]

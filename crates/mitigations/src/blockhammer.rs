@@ -70,12 +70,61 @@ impl BlockHammerConfig {
     }
 }
 
+/// The bucket `hasher` maps in-bank row `row` to, out of `m`.
+fn bucket(hasher: &Prince, row: u32, m: usize) -> usize {
+    (hasher.encrypt(u64::from(row)) as usize) % m
+}
+
+/// One counting Bloom filter.
+#[derive(Debug, Clone)]
+struct Filter {
+    counts: Vec<u32>,
+    /// Buckets made non-zero since the last reset, each listed once: a
+    /// bucket is pushed on its 0 → 1 step, and the counters saturate
+    /// instead of wrapping back to 0, so the list is exact and a reset
+    /// zeroes only what the epoch touched.
+    touched: Vec<usize>,
+}
+
+impl Filter {
+    fn new(m: usize) -> Self {
+        Filter {
+            counts: vec![0; m],
+            touched: Vec::new(),
+        }
+    }
+
+    fn count(&self, bucket: usize) -> u64 {
+        self.counts.get(bucket).map_or(0, |&c| u64::from(c))
+    }
+
+    fn increment(&mut self, bucket: usize) {
+        if let Some(c) = self.counts.get_mut(bucket) {
+            if *c == 0 {
+                self.touched.push(bucket);
+            }
+            *c = c.saturating_add(1);
+        }
+    }
+
+    fn reset(&mut self) {
+        for b in self.touched.drain(..) {
+            if let Some(c) = self.counts.get_mut(b) {
+                *c = 0;
+            }
+        }
+    }
+}
+
+/// One bank's filters, allocated the first time the bank is activated (a
+/// never-activated bank has all-zero filters and no history, which the
+/// absence of this state represents exactly).
 #[derive(Debug, Clone)]
 struct BankFilters {
-    /// Two time-interleaved counting Bloom filters.
-    filters: [Vec<u32>; 2],
-    /// Index of the older filter (used for blacklist decisions).
-    older: usize,
+    /// The time-interleaved pair: blacklist decisions use `older`; both
+    /// are incremented; each epoch end resets `older` and swaps the two.
+    older: Filter,
+    newer: Filter,
     /// Exact last-activation time per *blacklisted* row (BlockHammer's
     /// activation-history buffer): spacing is enforced per row, while the
     /// Bloom filters decide — with aliasing collateral — who is throttled.
@@ -86,11 +135,32 @@ struct BankFilters {
 impl BankFilters {
     fn new(m: usize) -> Self {
         BankFilters {
-            filters: [vec![0; m], vec![0; m]],
-            older: 0,
+            older: Filter::new(m),
+            newer: Filter::new(m),
             last_act: FlatMap::new(),
         }
     }
+
+    fn estimate(&self, buckets: &[usize]) -> u64 {
+        buckets
+            .iter()
+            .map(|&b| self.older.count(b))
+            .min()
+            .unwrap_or(0)
+    }
+}
+
+/// The bucket set of the most recently looked-up row, and that row's
+/// estimate until the filters next change. `activation_delay` and the
+/// `on_activation` that follows it for the same row then hash once.
+#[derive(Debug, Clone)]
+struct Lookup {
+    /// In-bank row number the buckets belong to.
+    row: Option<u32>,
+    /// One bucket per hasher (buckets depend only on the in-bank row).
+    buckets: Vec<usize>,
+    /// `(bank, estimate)` of `row`, cleared whenever a filter changes.
+    estimate: Option<(usize, u64)>,
 }
 
 /// The BlockHammer defense.
@@ -99,7 +169,8 @@ pub struct BlockHammer {
     config: BlockHammerConfig,
     geometry: DramGeometry,
     hashers: Vec<Prince>,
-    banks: Vec<BankFilters>,
+    banks: Vec<Option<BankFilters>>,
+    lookup: Lookup,
     name: String,
     /// Total delay cycles imposed (DoS accounting).
     delay_cycles: Cycle,
@@ -113,15 +184,17 @@ impl BlockHammer {
         let hashers = (0..config.hashes)
             .map(|i| Prince::new(seed ^ 0x424c_4f43_4b48 ^ ((i as u128 + 1) << 64)))
             .collect();
-        let banks = (0..geometry.total_banks())
-            .map(|_| BankFilters::new(config.counters_per_bank))
-            .collect();
         BlockHammer {
             name: format!("blockhammer-bl{}", config.blacklist_threshold),
+            banks: vec![None; geometry.total_banks()],
+            lookup: Lookup {
+                row: None,
+                buckets: vec![0; config.hashes],
+                estimate: None,
+            },
             config,
             geometry,
             hashers,
-            banks,
             delay_cycles: 0,
             throttled: 0,
         }
@@ -142,23 +215,47 @@ impl BlockHammer {
         self.throttled
     }
 
-    fn buckets(&self, row: RowAddr) -> Vec<usize> {
-        let m = self.config.counters_per_bank;
-        self.hashers
-            .iter()
-            .map(|h| (h.encrypt(row.row.0 as u64) as usize) % m)
-            .collect()
+    fn bank(&self, index: usize) -> Option<&BankFilters> {
+        self.banks.get(index).and_then(Option::as_ref)
     }
 
     /// Estimated activation count of `row` (min over its buckets in the
     /// older filter — the standard CBF upper-bound estimate).
     pub fn estimate(&self, row: RowAddr) -> u64 {
-        let bank = &self.banks[row.bank_index(&self.geometry)];
-        self.buckets(row)
+        let Some(bank) = self.bank(row.bank_index(&self.geometry)) else {
+            return 0;
+        };
+        let m = self.config.counters_per_bank;
+        let buckets: Vec<usize> = self
+            .hashers
             .iter()
-            .map(|&b| bank.filters[bank.older][b] as u64)
-            .min()
-            .unwrap_or(0)
+            .map(|h| bucket(h, row.row.0, m))
+            .collect();
+        bank.estimate(&buckets)
+    }
+
+    /// [`BlockHammer::estimate`] through the lookup memo: hashes `row`
+    /// only if it is not the last row looked up, and reads the filters
+    /// only if they changed since.
+    fn memo_estimate(&mut self, bank: usize, row: u32) -> u64 {
+        if self.lookup.row != Some(row) {
+            let m = self.config.counters_per_bank;
+            for (b, h) in self.lookup.buckets.iter_mut().zip(&self.hashers) {
+                *b = bucket(h, row, m);
+            }
+            self.lookup.row = Some(row);
+            self.lookup.estimate = None;
+        }
+        match self.lookup.estimate {
+            Some((b, estimate)) if b == bank => estimate,
+            _ => {
+                let estimate = self
+                    .bank(bank)
+                    .map_or(0, |f| f.estimate(&self.lookup.buckets));
+                self.lookup.estimate = Some((bank, estimate));
+                estimate
+            }
+        }
     }
 }
 
@@ -168,14 +265,14 @@ impl Mitigation for BlockHammer {
     }
 
     fn activation_delay(&mut self, row: RowAddr, now: Cycle) -> Cycle {
-        if self.estimate(row) < self.config.blacklist_threshold {
+        let idx = row.bank_index(&self.geometry);
+        if self.memo_estimate(idx, row.row.0) < self.config.blacklist_threshold {
             return 0;
         }
         let t_delay = self.config.t_delay();
-        let bank = &self.banks[row.bank_index(&self.geometry)];
-        let earliest = bank
-            .last_act
-            .get(u64::from(row.row.0))
+        let earliest = self
+            .bank(idx)
+            .and_then(|bank| bank.last_act.get(u64::from(row.row.0)))
             .map(|&t| t + t_delay)
             .unwrap_or(0);
         let delay = earliest.saturating_sub(now);
@@ -188,13 +285,17 @@ impl Mitigation for BlockHammer {
 
     fn on_activation(&mut self, row: RowAddr, at: Cycle, _actions: &mut Vec<MitigationAction>) {
         let idx = row.bank_index(&self.geometry);
-        let buckets = self.buckets(row);
-        let blacklisted = self.estimate(row) >= self.config.blacklist_threshold;
-        let bank = &mut self.banks[idx];
-        for &b in &buckets {
-            bank.filters[0][b] = bank.filters[0][b].saturating_add(1);
-            bank.filters[1][b] = bank.filters[1][b].saturating_add(1);
+        let blacklisted = self.memo_estimate(idx, row.row.0) >= self.config.blacklist_threshold;
+        let m = self.config.counters_per_bank;
+        let Some(slot) = self.banks.get_mut(idx) else {
+            return;
+        };
+        let bank = slot.get_or_insert_with(|| BankFilters::new(m));
+        for &b in &self.lookup.buckets {
+            bank.older.increment(b);
+            bank.newer.increment(b);
         }
+        self.lookup.estimate = None;
         if blacklisted {
             let t = bank.last_act.get_or_insert_with(u64::from(row.row.0), || 0);
             *t = (*t).max(at);
@@ -203,17 +304,17 @@ impl Mitigation for BlockHammer {
 
     fn on_epoch_end(&mut self, now: Cycle, _actions: &mut Vec<MitigationAction>) {
         let horizon = now.saturating_sub(2 * self.config.window);
-        for bank in &mut self.banks {
+        for bank in self.banks.iter_mut().flatten() {
             // The older filter has covered its full lifetime: reset it and
             // promote the other. The activation-history buffer persists
             // across the boundary (clearing it would hand every throttled
             // row a free unspaced activation each window); only entries
             // older than the full tracking horizon are pruned.
-            let o = bank.older;
-            bank.filters[o].iter_mut().for_each(|c| *c = 0);
-            bank.older = 1 - o;
+            bank.older.reset();
+            std::mem::swap(&mut bank.older, &mut bank.newer);
             bank.last_act.retain(|_, &mut t| t >= horizon);
         }
+        self.lookup.estimate = None;
     }
 }
 

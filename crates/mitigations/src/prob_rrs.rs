@@ -90,7 +90,9 @@ impl Mitigation for ProbabilisticRrs {
     }
 
     fn resolve(&self, row: RowAddr) -> RowAddr {
-        let bank = &self.banks[row.bank_index(&self.geometry)];
+        let Some(bank) = self.banks.get(row.bank_index(&self.geometry)) else {
+            return row;
+        };
         row.with_row(bank.rit.resolve(row.row.0 as u64) as u32)
     }
 
@@ -101,7 +103,9 @@ impl Mitigation for ProbabilisticRrs {
     fn on_activation(&mut self, row: RowAddr, _at: Cycle, actions: &mut Vec<MitigationAction>) {
         let idx = row.bank_index(&self.geometry);
         let rows = self.rows_per_bank;
-        let bank = &mut self.banks[idx];
+        let Some(bank) = self.banks.get_mut(idx) else {
+            return;
+        };
         if !bank.prng.next_bool(self.p) {
             return;
         }

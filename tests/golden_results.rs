@@ -5,8 +5,10 @@
 //! for a given configuration and seed. These tests execute one
 //! representative *figure* cell (a benign Table-3 workload under RRS, the
 //! Fig. 5 grid shape) and one *table* cell (a double-sided attack under
-//! RRS, the Table 7 grid shape) at smoke scale and compare the serialized
-//! result byte-for-byte with the goldens committed under `tests/golden/`.
+//! RRS, the Table 7 grid shape) at smoke scale, plus one §8.1 DoS cell
+//! under BlockHammer (whose throttling pins refresh command counts and
+//! mitigation delay cycles), and compare the serialized result
+//! byte-for-byte with the goldens committed under `tests/golden/`.
 //!
 //! Any refactor that changes metric accounting, JSON field order, or
 //! number formatting fails here before it can silently invalidate a
@@ -86,6 +88,25 @@ fn table_cell_matches_golden() {
                 epochs: 2,
             },
             mitigation: MitigationKind::Rrs,
+        },
+    );
+}
+
+/// One §8.1-shaped cell: the DoS probe under BlockHammer-512, 1 epoch.
+/// Throttling stretches simulated time, so this pins the refresh command
+/// count, the imposed delay cycles and the activation count.
+#[test]
+fn blockhammer_dos_cell_matches_golden() {
+    let config = ExperimentConfig::smoke_test();
+    check(
+        "dos blockhammer cell",
+        Cell {
+            config,
+            action: CellAction::Attack {
+                kind: AttackKind::Dos,
+                epochs: 1,
+            },
+            mitigation: MitigationKind::BlockHammer512,
         },
     );
 }
