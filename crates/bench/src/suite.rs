@@ -1,8 +1,8 @@
 //! The standard cross-layer benchmark suite behind `rrs bench-report`.
 //!
 //! One programmatic registry of the operations whose regressions matter:
-//! the per-access hardware structures (PRINCE, RIT lookup, tracker
-//! update), the swap engine, trace serialization/parsing, telemetry
+//! the per-access hardware structures (PRINCE, RIT lookup and eviction,
+//! tracker update), BlockHammer's throttle query, the swap engine, trace serialization/parsing, telemetry
 //! emission, and one end-to-end smoke cell. `rrs bench-report` runs this
 //! suite and snapshots the medians into `BENCH_*.json`, so the perf
 //! trajectory across PRs is a diffable artifact instead of folklore.
@@ -15,12 +15,16 @@ use std::hint::black_box;
 
 use rrs::core::prince::Prince;
 use rrs::core::prng::PrinceCtrRng;
+use rrs::core::rit::RowIndirectionTable;
 use rrs::core::rrs::{BankRrs, RrsConfig};
 use rrs::core::swap::{SwapEngine, SwapMode};
 use rrs::core::tracker::{CatTracker, HotRowTracker, TrackerConfig};
+use rrs::dram::geometry::{DramGeometry, RowAddr};
 use rrs::dram::timing::TimingParams;
 use rrs::experiments::{ExperimentConfig, MitigationKind};
+use rrs::mitigations::{BlockHammer, BlockHammerConfig};
 use rrs::telemetry::{Event, Telemetry};
+use rrs::Mitigation;
 use rrs_json::Json;
 
 use crate::harness::Harness;
@@ -29,6 +33,8 @@ use crate::harness::Harness;
 pub fn standard_suite(h: &mut Harness) {
     bench_prince(h);
     bench_rrs_engine(h);
+    bench_rit(h);
+    bench_blockhammer(h);
     bench_swap_engine(h);
     bench_telemetry(h);
     bench_json(h);
@@ -71,6 +77,57 @@ fn bench_rrs_engine(h: &mut Harness) {
         b.iter(|| {
             row = row.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
             black_box(t.record_access(row >> 40))
+        })
+    });
+}
+
+fn bench_rit(h: &mut Harness) {
+    // Paper-sized RIT held at capacity: every swap first evicts (§4.3's
+    // lazy drain), and an epoch ends whenever every entry is locked.
+    const ROWS: u64 = 128 * 1024;
+    let mut rit = RowIndirectionTable::new(3_400, 0x5EED);
+    let mut rng = PrinceCtrRng::new(11);
+    while rit.tuples_in_use() + 2 <= rit.tuple_capacity() {
+        let _ = rit.swap(rng.next_below(ROWS), rng.next_below(ROWS));
+    }
+    rit.end_epoch();
+    h.bench("rit/evict_full", |b| {
+        b.iter(|| {
+            while rit.tuples_in_use() + 2 > rit.tuple_capacity() {
+                if rit.evict_one(rng.next_u64()).is_none() {
+                    rit.end_epoch();
+                }
+            }
+            black_box(rit.swap(rng.next_below(ROWS), rng.next_below(ROWS)))
+        })
+    });
+}
+
+fn bench_blockhammer(h: &mut Harness) {
+    // The §8.1 DoS pattern: two rows of one bank, alternating, both
+    // blacklisted, so every query reads the filters and the row history.
+    let window = TimingParams::ddr4_3200().epoch;
+    let mut bh = BlockHammer::new(
+        BlockHammerConfig::asplos22(1_024, window),
+        DramGeometry::asplos22_baseline(),
+        1,
+    );
+    let (a, b) = (RowAddr::new(0, 0, 0, 100), RowAddr::new(0, 0, 0, 102));
+    let mut actions = Vec::new();
+    let mut now = 0;
+    for _ in 0..1_100 {
+        for row in [a, b] {
+            now += 144;
+            now += bh.activation_delay(row, now);
+            bh.on_activation(row, now, &mut actions);
+        }
+    }
+    h.bench("mitigation/blockhammer/activation_delay", |bench| {
+        let mut flip = false;
+        bench.iter(|| {
+            flip = !flip;
+            now += 144;
+            black_box(bh.activation_delay(if flip { a } else { b }, now))
         })
     });
 }

@@ -480,12 +480,64 @@ impl<V> Cat<V> {
         self.len = 0;
     }
 
+    /// All slots in iteration order: table 0's sets, then table 1's.
+    fn slots(&self) -> impl Iterator<Item = &Option<Slot<V>>> + '_ {
+        self.tables.iter().flat_map(|t| t.iter())
+    }
+
     /// Iterates over `(tag, &value)` in an arbitrary but deterministic order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> + '_ {
-        self.tables
-            .iter()
-            .flat_map(|t| t.iter())
+        self.slots()
             .filter_map(|s| s.as_ref().map(|s| (s.tag, &s.value)))
+    }
+
+    /// Exclusive references to every value, in [`Cat::iter`] order.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> + '_ {
+        self.tables
+            .iter_mut()
+            .flat_map(|t| t.iter_mut())
+            .filter_map(|s| s.as_mut().map(|s| &mut s.value))
+    }
+
+    /// The entries of [`Cat::iter`] rotated to start at the `n`-th:
+    /// exactly `iter().skip(n).chain(iter().take(n))`, so `n >= len()`
+    /// yields `iter()` unrotated. The start is found by skipping whole
+    /// sets on their occupancy counters, so reaching it costs O(sets)
+    /// rather than a walk over `n` entries' slots.
+    pub fn iter_from(&self, n: usize) -> impl Iterator<Item = (u64, &V)> + '_ {
+        let start = self.slot_of_nth(n);
+        self.slots()
+            .skip(start)
+            .chain(self.slots().take(start))
+            .filter_map(|s| s.as_ref().map(|s| (s.tag, &s.value)))
+    }
+
+    /// Position, in [`Cat::slots`] order, of the slot holding the `n`-th
+    /// entry of [`Cat::iter`]; 0 when `n >= len()`.
+    fn slot_of_nth(&self, n: usize) -> usize {
+        if n >= self.len {
+            return 0;
+        }
+        let ways = self.config.ways();
+        let mut rest = n;
+        for (t, occupied) in self.occupied.iter().enumerate() {
+            for (set, &occ) in occupied.iter().enumerate() {
+                let occ = usize::from(occ);
+                if rest >= occ {
+                    rest -= occ;
+                    continue;
+                }
+                let way = self
+                    .set_slots(t, set)
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| s.is_some())
+                    .nth(rest)
+                    .map_or(0, |(way, _)| way);
+                return (t * self.config.sets + set) * ways + way;
+            }
+        }
+        0
     }
 
     /// Iterates over the entries of one set of one table.
@@ -533,7 +585,7 @@ impl<V> Cat<V> {
         if self.len == 0 {
             return None;
         }
-        self.iter().nth(n % self.len)
+        self.iter_from(n % self.len).next()
     }
 }
 

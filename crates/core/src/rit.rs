@@ -412,34 +412,39 @@ impl RowIndirectionTable {
     /// Returns the physical exchange performed, or `None` if nothing is
     /// evictable (all entries locked or table empty).
     pub fn evict_one(&mut self, pick: u64) -> Option<PhysicalSwap> {
+        let victim = self.eviction_victim(pick)?;
+        // The victim was validated as non-degenerate and unlocked, so this
+        // unswap cannot fail; if the impossible happens we report "nothing
+        // evictable" instead of unwinding mid-simulation (the RitAudit
+        // ghost checker would flag the inconsistency).
+        self.unswap(victim).ok()
+    }
+
+    /// The entry [`RowIndirectionTable::evict_one`] evicts for `pick`:
+    /// scanning from a random starting entry and taking the first eligible
+    /// victim is a uniform pick over a rotation of the candidate order,
+    /// without paying a lookup per resident entry. [`Cat::iter_from`]
+    /// reaches the starting entry in O(sets), not O(slots).
+    fn eviction_victim(&self, pick: u64) -> Option<u64> {
         let len = self.forward.len();
         if len == 0 {
             return None;
         }
-        // Scan from a random starting entry and take the first eligible
-        // victim: equivalent to a uniform pick over a rotation of the
-        // candidate order, without paying a lookup per resident entry.
-        let start = (pick as usize) % len;
-        let victim = self
-            .forward
-            .iter()
-            .skip(start)
-            .chain(self.forward.iter().take(start))
-            .find(|(logical, e)| {
-                if e.locked {
-                    return false;
-                }
-                // The occupant of this row's home must also be evictable,
-                // because un-swapping displaces it.
-                let z = self.occupant(*logical);
-                z == *logical || self.forward.get(z).map(|ze| !ze.locked).unwrap_or(true)
-            })
-            .map(|(logical, _)| logical)?;
-        // The victim was validated as non-degenerate and unlocked just
-        // above, so this unswap cannot fail; if the impossible happens we
-        // report "nothing evictable" instead of unwinding mid-simulation
-        // (the RitAudit ghost checker would flag the inconsistency).
-        self.unswap(victim).ok()
+        self.forward
+            .iter_from((pick as usize) % len)
+            .find(|&(logical, e)| self.evictable(logical, e))
+            .map(|(logical, _)| logical)
+    }
+
+    /// Whether displaced row `logical` (forward entry `e`) may be evicted:
+    /// it is unlocked, and so is the occupant of its home, because
+    /// un-swapping displaces that occupant.
+    fn evictable(&self, logical: u64, e: &ForwardEntry) -> bool {
+        if e.locked {
+            return false;
+        }
+        let z = self.occupant(logical);
+        z == logical || self.forward.get(z).map(|ze| !ze.locked).unwrap_or(true)
     }
 
     /// Un-swaps `logical` back to its home location. The row currently at
@@ -469,11 +474,8 @@ impl RowIndirectionTable {
     /// Ends the epoch: clears every lock bit so stale entries become
     /// evictable (§4.3). The mappings themselves are retained.
     pub fn end_epoch(&mut self) {
-        let tags: Vec<u64> = self.forward.iter().map(|(t, _)| t).collect();
-        for t in tags {
-            if let Some(e) = self.forward.get_mut(t) {
-                e.locked = false;
-            }
+        for e in self.forward.values_mut() {
+            e.locked = false;
         }
         // Epoch boundaries are rare: run the full ghost audit every time.
         #[cfg(debug_assertions)]
@@ -660,6 +662,66 @@ mod tests {
         let b = c2.evict_one(1).expect("entry 1 evictable after epoch end");
         assert_ne!(a, b, "different picks should evict different tuples");
         Ok(())
+    }
+
+    /// The victim choice before `Cat::iter_from`: a walk over every entry
+    /// up to the random start.
+    fn victim_by_scan(r: &RowIndirectionTable, pick: u64) -> Option<u64> {
+        let len = r.forward.len();
+        if len == 0 {
+            return None;
+        }
+        let start = (pick as usize) % len;
+        r.forward
+            .iter()
+            .skip(start)
+            .chain(r.forward.iter().take(start))
+            .find(|&(logical, e)| r.evictable(logical, e))
+            .map(|(logical, _)| logical)
+    }
+
+    #[test]
+    fn eviction_victims_match_the_full_scan() {
+        let mut r = rit(48);
+        let mut x = 7u64;
+        let mut next = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x >> 16
+        };
+        let (mut evictions, mut mixed) = (0, 0);
+        for step in 0..2_000 {
+            // Keep the table at capacity: evict (or, when every entry is
+            // locked, end the epoch) until a swap fits, then swap.
+            while r.tuples_in_use() + 2 > r.tuple_capacity() {
+                let locked = r.locked_count();
+                if locked > 0 && locked < r.tuples_in_use() {
+                    mixed += 1;
+                }
+                let pick = next();
+                let expected = victim_by_scan(&r, pick);
+                assert_eq!(r.eviction_victim(pick), expected, "step {step}");
+                match r.evict_one(pick) {
+                    Some(_) => evictions += 1,
+                    None => {
+                        assert_eq!(expected, None);
+                        r.end_epoch();
+                    }
+                }
+            }
+            let (a, b) = (next() % 200, next() % 200);
+            if a != b {
+                let _ = r.swap(a, b);
+            }
+            // Unlock now and then, so a full table mixes lock bits.
+            if next() % 16 == 0 {
+                r.end_epoch();
+            }
+        }
+        r.check_invariants();
+        assert!(evictions > 500, "only {evictions} evictions");
+        assert!(mixed > 500, "only {mixed} evictions saw mixed lock bits");
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //!    return swap directives the controller must execute and charge.
 
 use rrs_dram::geometry::{DramGeometry, RowAddr};
+use rrs_telemetry::Telemetry;
 
 use crate::detector::{DetectorConfig, SwapDetector};
 use crate::prng::PrinceCtrRng;
@@ -201,7 +202,7 @@ impl<T: HotRowTracker> BankRrs<T> {
     /// Adopts a shared telemetry spine, forwarding it to the tracker and
     /// the RIT (all banks share the `hrt.*` / `cat.*` / `rit.tlb.*`
     /// aggregate counters by name).
-    pub fn attach_telemetry(&mut self, telemetry: &rrs_telemetry::Telemetry) {
+    pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.tracker.attach_telemetry(telemetry);
         self.rit.attach_telemetry(telemetry);
     }
@@ -312,24 +313,30 @@ impl<T: HotRowTracker> BankRrs<T> {
 /// Seed-diversification tag for the RIT hash keys ("RIT_TAG").
 const RIT_SEED_TAG: u128 = 0x0052_4954_5f54_4147;
 
-/// System-wide RRS: one [`BankRrs`] per bank of a geometry.
+/// System-wide RRS: one [`BankRrs`] per bank of a geometry, each built on
+/// its bank's first activation.
 #[derive(Debug, Clone)]
 pub struct Rrs {
     config: RrsConfig,
     geometry: DramGeometry,
-    banks: Vec<BankRrs>,
+    /// `None` for a bank never activated: it has swapped nothing, so its
+    /// rows resolve to themselves and its epoch end is a no-op. A unit's
+    /// seeds depend only on its bank index, so building it late changes
+    /// nothing it computes.
+    banks: Vec<Option<BankRrs>>,
+    /// The spine adopted by [`Rrs::attach_telemetry`], handed to each unit
+    /// as it is built.
+    telemetry: Option<Telemetry>,
 }
 
 impl Rrs {
     /// Creates an engine covering every bank of `geometry`.
     pub fn new(config: RrsConfig, geometry: DramGeometry) -> Self {
-        let banks = (0..geometry.total_banks())
-            .map(|i| BankRrs::new(config, i as u64))
-            .collect();
         Rrs {
             config,
             geometry,
-            banks,
+            banks: vec![None; geometry.total_banks()],
+            telemetry: None,
         }
     }
 
@@ -338,11 +345,18 @@ impl Rrs {
         &self.config
     }
 
-    /// Adopts a shared telemetry spine across every bank unit.
-    pub fn attach_telemetry(&mut self, telemetry: &rrs_telemetry::Telemetry) {
-        for b in &mut self.banks {
-            b.attach_telemetry(telemetry);
+    /// Adopts a shared telemetry spine across every bank unit, built or
+    /// not. The units' `hrt.*` / `cat.*` / `rit.tlb.*` counters register
+    /// now, in the order a unit registers them, so counter snapshots have
+    /// the same keys whether or not any bank is ever activated.
+    pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
+        // Registration is by name: a throwaway unit registers the counters
+        // every unit shares, even if no unit is ever built.
+        BankRrs::new(self.config, 0).attach_telemetry(telemetry);
+        for unit in self.banks.iter_mut().flatten() {
+            unit.attach_telemetry(telemetry);
         }
+        self.telemetry = Some(telemetry.clone());
     }
 
     /// The geometry the engine covers.
@@ -350,28 +364,38 @@ impl Rrs {
         &self.geometry
     }
 
-    fn unit(&self, addr: RowAddr) -> &BankRrs {
-        // lint: allow(index-panic) — `bank_index` is `< geometry.total_banks()` by construction and `banks` has exactly that length
-        &self.banks[addr.bank_index(&self.geometry)]
-    }
-
-    fn unit_mut(&mut self, addr: RowAddr) -> &mut BankRrs {
-        // lint: allow(index-panic) — `bank_index` is `< geometry.total_banks()` by construction and `banks` has exactly that length
-        &mut self.banks[addr.bank_index(&self.geometry)]
+    fn unit(&self, addr: RowAddr) -> Option<&BankRrs> {
+        self.banks
+            .get(addr.bank_index(&self.geometry))
+            .and_then(Option::as_ref)
     }
 
     /// Resolves a logical row address to the physical row currently holding
     /// it (identity unless swapped).
     pub fn resolve(&self, addr: RowAddr) -> RowAddr {
-        // lint: allow(narrow-cast) — the RIT only maps rows previously fed in from this bank's u32 row space, so the resolved row fits
-        addr.with_row(self.unit(addr).resolve(addr.row.0 as u64) as u32)
+        match self.unit(addr) {
+            // lint: allow(narrow-cast) — the RIT only maps rows previously fed in from this bank's u32 row space, so the resolved row fits
+            Some(unit) => addr.with_row(unit.resolve(addr.row.0 as u64) as u32),
+            None => addr,
+        }
     }
 
     /// Records one activation at `addr` (the *logical* address the
     /// controller received); returns physical operations to execute, with
     /// row ids scoped to `addr`'s bank.
     pub fn on_activation(&mut self, addr: RowAddr) -> Vec<RrsAction> {
-        self.unit_mut(addr).on_activation(addr.row.0 as u64)
+        let index = addr.bank_index(&self.geometry);
+        let Some(slot) = self.banks.get_mut(index) else {
+            return Vec::new();
+        };
+        let unit = slot.get_or_insert_with(|| {
+            let mut unit = BankRrs::new(self.config, index as u64);
+            if let Some(telemetry) = &self.telemetry {
+                unit.attach_telemetry(telemetry);
+            }
+            unit
+        });
+        unit.on_activation(addr.row.0 as u64)
     }
 
     /// Extra per-access controller latency (the RIT lookup).
@@ -381,18 +405,18 @@ impl Rrs {
 
     /// Epoch boundary across all banks; returns total swaps in the epoch.
     pub fn end_epoch(&mut self) -> u64 {
-        self.banks.iter_mut().map(|b| b.end_epoch()).sum()
+        self.banks.iter_mut().flatten().map(|b| b.end_epoch()).sum()
     }
 
-    /// Per-bank units, for inspection.
-    pub fn banks(&self) -> &[BankRrs] {
+    /// Per-bank units, for inspection; `None` for a bank never activated.
+    pub fn banks(&self) -> &[Option<BankRrs>] {
         &self.banks
     }
 
     /// Aggregate statistics over all banks.
     pub fn total_stats(&self) -> BankRrsStats {
         let mut total = BankRrsStats::default();
-        for b in &self.banks {
+        for b in self.banks.iter().flatten() {
             total.swaps += b.stats.swaps;
             total.unswaps += b.stats.unswaps;
             total.epoch_swaps += b.stats.epoch_swaps;
@@ -552,6 +576,51 @@ mod tests {
         assert_ne!(rrs.resolve(a), a);
         assert_eq!(rrs.resolve(b), b);
         assert_eq!(rrs.total_stats().swaps, 1);
+    }
+
+    #[test]
+    fn lazy_units_resolve_identity_and_register_counters_up_front() {
+        let geom = DramGeometry::tiny_test();
+        let telemetry = Telemetry::new();
+        let mut rrs = Rrs::new(small_config(), geom);
+        rrs.attach_telemetry(&telemetry);
+        let names = |t: &Telemetry| -> Vec<String> {
+            t.counters().into_iter().map(|(name, _)| name).collect()
+        };
+        // Attached before any activation: every unit counter is already
+        // registered, in the order an eagerly built unit registers them.
+        assert_eq!(
+            names(&telemetry),
+            [
+                "hrt.installs",
+                "hrt.evicts",
+                "cat.relocations",
+                "rit.tlb.hits",
+                "rit.tlb.misses"
+            ]
+        );
+        assert!(rrs.banks().iter().all(Option::is_none));
+        let hot = RowAddr::new(0, 0, 0, 7);
+        for _ in 0..10 {
+            rrs.on_activation(hot);
+        }
+        assert_ne!(rrs.resolve(hot), hot);
+        // Only the activated bank has a unit; the others resolve to the
+        // identity and contribute nothing at epoch end.
+        assert_eq!(rrs.banks().iter().flatten().count(), 1);
+        for bank in 1..geom.banks_per_rank as u8 {
+            let row = RowAddr::new(0, 0, bank, 7);
+            assert_eq!(rrs.resolve(row), row);
+        }
+        assert_eq!(rrs.end_epoch(), 1);
+        // The lazily built unit counts into the counters registered up
+        // front, and registers nothing new.
+        assert_eq!(names(&telemetry).len(), 5);
+        let installs = telemetry
+            .counters()
+            .into_iter()
+            .find(|(n, _)| n == "hrt.installs");
+        assert_eq!(installs, Some(("hrt.installs".to_string(), 1)));
     }
 
     #[test]

@@ -109,6 +109,49 @@ fn cat_matches_hashmap_model() {
     });
 }
 
+/// `Cat::iter_from(n)` is exactly `iter().skip(n).chain(iter().take(n))`
+/// after any install/remove history, for `n` on every set boundary (runs
+/// of empty sets included), around `len()`, and at random.
+#[test]
+fn cat_iter_from_matches_rotated_iter() {
+    check(|g| {
+        let sets = 1 << g.usize_in(0..4);
+        let mut cat: Cat<u32> = Cat::new(CatConfig {
+            sets,
+            demand_ways: g.usize_in(1..4),
+            extra_ways: g.usize_in(0..3),
+            hash_seed: g.u128(),
+        });
+        let tags = g.u64_in(1..64);
+        for _ in 0..g.usize_in(0..120) {
+            let tag = g.below(tags);
+            if cat.contains(tag) {
+                cat.remove(tag);
+            } else {
+                let _ = cat.insert(tag, g.u32());
+            }
+            let len = cat.len();
+            // Entries before each set, in iteration order: equal
+            // neighbours mark empty sets.
+            let mut boundaries = vec![0];
+            for table in 0..2 {
+                for set in 0..sets {
+                    let before = boundaries.last().copied().unwrap_or(0);
+                    boundaries.push(before + cat.set_iter(table, set).count());
+                }
+            }
+            assert_eq!(boundaries.last(), Some(&len));
+            boundaries.extend([len.saturating_sub(1), len + 1, g.usize_in(0..len + 3)]);
+            for n in boundaries {
+                let rotated: Vec<_> = cat.iter().skip(n).chain(cat.iter().take(n)).collect();
+                assert_eq!(cat.iter_from(n).collect::<Vec<_>>(), rotated, "n = {n}");
+                let nth = (len > 0).then(|| cat.iter().nth(n % len)).flatten();
+                assert_eq!(cat.nth_entry(n), nth, "n = {n}");
+            }
+        }
+    });
+}
+
 /// Misra-Gries over-estimation: a tracked row's counter is always at
 /// least its true count minus nothing — i.e. `estimate >= true` —
 /// for any access sequence (Invariant 1's foundation).

@@ -259,7 +259,9 @@ impl HammerModel {
                 // blast_radius beyond the configured weights: no disturbance.
                 continue;
             };
-            for n in addr.neighbors(d, &self.geometry) {
+            let below = addr.neighbor_below(d);
+            let above = addr.neighbor_above(d, &self.geometry);
+            for n in below.into_iter().chain(above) {
                 let key = pack(n);
                 let e = self.disturbance.get_or_insert_with(key, || 0.0);
                 *e += w;

@@ -141,26 +141,50 @@ impl BankFilters {
         }
     }
 
-    fn estimate(&self, buckets: &[usize]) -> u64 {
+    fn estimate(&self, buckets: impl IntoIterator<Item = usize>) -> u64 {
         buckets
-            .iter()
-            .map(|&b| self.older.count(b))
+            .into_iter()
+            .map(|b| self.older.count(b))
             .min()
             .unwrap_or(0)
     }
 }
 
-/// The bucket set of the most recently looked-up row, and that row's
-/// estimate until the filters next change. `activation_delay` and the
-/// `on_activation` that follows it for the same row then hash once.
+/// Every row's bucket set, hashed on the row's first lookup and kept for
+/// the run. Buckets depend only on the in-bank row, so all banks share one
+/// entry per distinct row and the cache never outgrows `rows_per_bank`.
 #[derive(Debug, Clone)]
-struct Lookup {
-    /// In-bank row number the buckets belong to.
-    row: Option<u32>,
-    /// One bucket per hasher (buckets depend only on the in-bank row).
+struct RowBuckets {
+    hashers: Vec<Prince>,
+    /// Buckets per filter.
+    m: usize,
+    /// In-bank row → offset of its `hashers.len()` buckets in `buckets`.
+    offsets: FlatMap<usize>,
     buckets: Vec<usize>,
-    /// `(bank, estimate)` of `row`, cleared whenever a filter changes.
-    estimate: Option<(usize, u64)>,
+}
+
+impl RowBuckets {
+    /// The buckets of `row`, hashed now only if `row` was never looked up.
+    fn of(&mut self, row: u32) -> &[usize] {
+        let k = self.hashers.len();
+        let start = match self.offsets.get(u64::from(row)) {
+            Some(&start) => start,
+            None => {
+                let start = self.buckets.len();
+                let m = self.m;
+                self.buckets
+                    .extend(self.hashers.iter().map(|h| bucket(h, row, m)));
+                self.offsets.insert(u64::from(row), start);
+                start
+            }
+        };
+        self.buckets.get(start..start + k).unwrap_or(&[])
+    }
+
+    /// The buckets of `row` without filling the cache.
+    fn peek(&self, row: u32) -> impl Iterator<Item = usize> + '_ {
+        self.hashers.iter().map(move |h| bucket(h, row, self.m))
+    }
 }
 
 /// The BlockHammer defense.
@@ -168,9 +192,8 @@ struct Lookup {
 pub struct BlockHammer {
     config: BlockHammerConfig,
     geometry: DramGeometry,
-    hashers: Vec<Prince>,
+    rows: RowBuckets,
     banks: Vec<Option<BankFilters>>,
-    lookup: Lookup,
     name: String,
     /// Total delay cycles imposed (DoS accounting).
     delay_cycles: Cycle,
@@ -187,14 +210,14 @@ impl BlockHammer {
         BlockHammer {
             name: format!("blockhammer-bl{}", config.blacklist_threshold),
             banks: vec![None; geometry.total_banks()],
-            lookup: Lookup {
-                row: None,
-                buckets: vec![0; config.hashes],
-                estimate: None,
+            rows: RowBuckets {
+                hashers,
+                m: config.counters_per_bank,
+                offsets: FlatMap::new(),
+                buckets: Vec::new(),
             },
             config,
             geometry,
-            hashers,
             delay_cycles: 0,
             throttled: 0,
         }
@@ -215,47 +238,14 @@ impl BlockHammer {
         self.throttled
     }
 
-    fn bank(&self, index: usize) -> Option<&BankFilters> {
-        self.banks.get(index).and_then(Option::as_ref)
-    }
-
     /// Estimated activation count of `row` (min over its buckets in the
     /// older filter — the standard CBF upper-bound estimate).
     pub fn estimate(&self, row: RowAddr) -> u64 {
-        let Some(bank) = self.bank(row.bank_index(&self.geometry)) else {
+        let idx = row.bank_index(&self.geometry);
+        let Some(bank) = self.banks.get(idx).and_then(Option::as_ref) else {
             return 0;
         };
-        let m = self.config.counters_per_bank;
-        let buckets: Vec<usize> = self
-            .hashers
-            .iter()
-            .map(|h| bucket(h, row.row.0, m))
-            .collect();
-        bank.estimate(&buckets)
-    }
-
-    /// [`BlockHammer::estimate`] through the lookup memo: hashes `row`
-    /// only if it is not the last row looked up, and reads the filters
-    /// only if they changed since.
-    fn memo_estimate(&mut self, bank: usize, row: u32) -> u64 {
-        if self.lookup.row != Some(row) {
-            let m = self.config.counters_per_bank;
-            for (b, h) in self.lookup.buckets.iter_mut().zip(&self.hashers) {
-                *b = bucket(h, row, m);
-            }
-            self.lookup.row = Some(row);
-            self.lookup.estimate = None;
-        }
-        match self.lookup.estimate {
-            Some((b, estimate)) if b == bank => estimate,
-            _ => {
-                let estimate = self
-                    .bank(bank)
-                    .map_or(0, |f| f.estimate(&self.lookup.buckets));
-                self.lookup.estimate = Some((bank, estimate));
-                estimate
-            }
-        }
+        bank.estimate(self.rows.peek(row.row.0))
     }
 }
 
@@ -266,14 +256,17 @@ impl Mitigation for BlockHammer {
 
     fn activation_delay(&mut self, row: RowAddr, now: Cycle) -> Cycle {
         let idx = row.bank_index(&self.geometry);
-        if self.memo_estimate(idx, row.row.0) < self.config.blacklist_threshold {
+        let Some(bank) = self.banks.get(idx).and_then(Option::as_ref) else {
+            return 0;
+        };
+        let buckets = self.rows.of(row.row.0);
+        if bank.estimate(buckets.iter().copied()) < self.config.blacklist_threshold {
             return 0;
         }
-        let t_delay = self.config.t_delay();
-        let earliest = self
-            .bank(idx)
-            .and_then(|bank| bank.last_act.get(u64::from(row.row.0)))
-            .map(|&t| t + t_delay)
+        let earliest = bank
+            .last_act
+            .get(u64::from(row.row.0))
+            .map(|&t| t + self.config.t_delay())
             .unwrap_or(0);
         let delay = earliest.saturating_sub(now);
         if delay > 0 {
@@ -285,17 +278,17 @@ impl Mitigation for BlockHammer {
 
     fn on_activation(&mut self, row: RowAddr, at: Cycle, _actions: &mut Vec<MitigationAction>) {
         let idx = row.bank_index(&self.geometry);
-        let blacklisted = self.memo_estimate(idx, row.row.0) >= self.config.blacklist_threshold;
         let m = self.config.counters_per_bank;
         let Some(slot) = self.banks.get_mut(idx) else {
             return;
         };
         let bank = slot.get_or_insert_with(|| BankFilters::new(m));
-        for &b in &self.lookup.buckets {
+        let buckets = self.rows.of(row.row.0);
+        let blacklisted = bank.estimate(buckets.iter().copied()) >= self.config.blacklist_threshold;
+        for &b in buckets {
             bank.older.increment(b);
             bank.newer.increment(b);
         }
-        self.lookup.estimate = None;
         if blacklisted {
             let t = bank.last_act.get_or_insert_with(u64::from(row.row.0), || 0);
             *t = (*t).max(at);
@@ -314,7 +307,6 @@ impl Mitigation for BlockHammer {
             std::mem::swap(&mut bank.older, &mut bank.newer);
             bank.last_act.retain(|_, &mut t| t >= horizon);
         }
-        self.lookup.estimate = None;
     }
 }
 

@@ -1,9 +1,9 @@
-//! Differential property test (rrs-check) pinning BlockHammer's sparse
-//! filter reset, lazily allocated per-bank filters and once-per-activation
-//! hashing against a dense reference kept here: filters allocated for
-//! every bank up front, every counter zeroed at each reset, and every
-//! bucket rehashed on every call. The two must agree on every estimate,
-//! every imposed delay and the running delay/throttle totals.
+//! Differential property tests (rrs-check) pinning BlockHammer's sparse
+//! filter reset, lazily allocated per-bank filters and per-row hash cache
+//! against a dense reference kept here: filters allocated for every bank
+//! up front, every counter zeroed at each reset, and every bucket rehashed
+//! on every call. The two must agree on every estimate, every imposed delay
+//! and the running delay/throttle totals.
 
 use std::collections::BTreeMap;
 
@@ -127,71 +127,140 @@ fn row_in(g: &mut Gen, banks: usize, rows: u32) -> RowAddr {
     RowAddr::new((bank % 2) as u8, 0, (bank / 2) as u8, g.u32_in(0..rows))
 }
 
-/// More cases than the harness default: a stale memo only shows when a
-/// delay query, an epoch end and a query of the same row line up with a
-/// blacklist-threshold crossing, which a few cases per thousand do.
+/// Few buckets and few rows force aliasing; low thresholds and a short
+/// window make blacklisting, throttling and history pruning all happen
+/// within a case.
+fn small_config(g: &mut Gen) -> BlockHammerConfig {
+    BlockHammerConfig {
+        t_rh: g.u64_in(8..64),
+        blacklist_threshold: g.u64_in(1..6),
+        counters_per_bank: g.usize_in(1..48),
+        hashes: g.usize_in(1..4),
+        window: g.u64_in(1_000..20_000),
+    }
+}
+
+/// Drives the cached and the dense BlockHammer through `steps` random
+/// operations and asserts they agree after each one. `next_row` picks the
+/// row an operation targets, given the previous one.
+fn drive(
+    g: &mut Gen,
+    config: BlockHammerConfig,
+    steps: usize,
+    epoch_weight: u64,
+    mut next_row: impl FnMut(&mut Gen, RowAddr) -> RowAddr,
+) {
+    let geometry = geometry();
+    let seed = g.u128();
+    let mut fast = BlockHammer::new(config, geometry, seed);
+    let mut dense = DenseBlockHammer::new(config, geometry, seed);
+    let mut actions = Vec::new();
+    let mut now: Cycle = 0;
+    let mut row = next_row(g, RowAddr::new(0, 0, 0, 0));
+    for _ in 0..steps {
+        now += g.u64_in(0..600);
+        row = next_row(g, row);
+        match g.below(7 + epoch_weight) {
+            // The controller's pattern: delay, then activate the row at
+            // the delayed time.
+            0..=3 => {
+                let delay = fast.activation_delay(row, now);
+                assert_eq!(delay, dense.activation_delay(row, now));
+                fast.on_activation(row, now + delay, &mut actions);
+                dense.on_activation(row, now + delay);
+            }
+            // An activation with no delay query before it.
+            4 => {
+                fast.on_activation(row, now, &mut actions);
+                dense.on_activation(row, now);
+            }
+            // A delay query with no activation after it.
+            5 => {
+                assert_eq!(
+                    fast.activation_delay(row, now),
+                    dense.activation_delay(row, now)
+                );
+            }
+            6 => {
+                let rows = geometry.rows_per_bank as u32;
+                let any = row_in(g, geometry.total_banks(), rows);
+                assert_eq!(fast.estimate(any), dense.estimate(any));
+            }
+            _ => {
+                fast.on_epoch_end(now, &mut actions);
+                dense.on_epoch_end(now);
+            }
+        }
+        assert!(actions.is_empty());
+        assert_eq!(fast.estimate(row), dense.estimate(row));
+        assert_eq!(fast.delay_cycles(), dense.delay_cycles);
+        assert_eq!(fast.throttled(), dense.throttled);
+    }
+}
+
+/// More cases than the harness default: a blacklist-threshold crossing
+/// that lines up with an epoch end and a delay query of the same row only
+/// happens in a few cases per thousand.
 #[test]
 fn blockhammer_matches_dense_reference() {
     check_cases(1_000, |g| {
-        let geometry = geometry();
-        // Few buckets and few rows force aliasing; low thresholds and a
-        // short window make blacklisting, throttling and history pruning
-        // all happen within a case.
-        let config = BlockHammerConfig {
-            t_rh: g.u64_in(8..64),
-            blacklist_threshold: g.u64_in(1..6),
-            counters_per_bank: g.usize_in(1..48),
-            hashes: g.usize_in(1..4),
-            window: g.u64_in(1_000..20_000),
-        };
-        let seed = g.u128();
-        let mut fast = BlockHammer::new(config, geometry, seed);
-        let mut dense = DenseBlockHammer::new(config, geometry, seed);
+        let config = small_config(g);
         let rows = g.u32_in(1..40);
-        let mut actions = Vec::new();
-        let mut now: Cycle = 0;
-        let mut row = row_in(g, 5, rows);
-        for _ in 0..g.usize_in(1..400) {
-            now += g.u64_in(0..600);
-            // Hammer-like repeats keep the same row across operations of
-            // every kind, epoch ends included.
+        let steps = g.usize_in(1..400);
+        // Hammer-like repeats keep the same row across operations of
+        // every kind, epoch ends included.
+        drive(g, config, steps, 1, |g, row| {
             if g.bool() {
-                row = row_in(g, 5, rows);
+                row_in(g, 5, rows)
+            } else {
+                row
             }
-            match g.below(8) {
-                // The controller's pattern: delay, then activate the row
-                // at the delayed time.
-                0..=3 => {
-                    let delay = fast.activation_delay(row, now);
-                    assert_eq!(delay, dense.activation_delay(row, now));
-                    fast.on_activation(row, now + delay, &mut actions);
-                    dense.on_activation(row, now + delay);
-                }
-                // An activation with no delay query before it.
-                4 => {
-                    fast.on_activation(row, now, &mut actions);
-                    dense.on_activation(row, now);
-                }
-                // A delay query with no activation after it.
-                5 => {
-                    assert_eq!(
-                        fast.activation_delay(row, now),
-                        dense.activation_delay(row, now)
-                    );
-                }
-                6 => {
-                    fast.on_epoch_end(now, &mut actions);
-                    dense.on_epoch_end(now);
-                }
-                _ => {
-                    let any = row_in(g, geometry.total_banks(), rows);
-                    assert_eq!(fast.estimate(any), dense.estimate(any));
-                }
+        });
+    });
+}
+
+/// The hash cache is shared by all banks: the same in-bank row activated
+/// in two banks must still count in each bank's own filters only.
+#[test]
+fn same_row_in_two_banks_matches_dense_reference() {
+    check_cases(300, |g| {
+        let config = small_config(g);
+        let (a, b) = (g.usize_in(0..8), g.usize_in(0..8));
+        let rows = g.u32_in(1..6);
+        let steps = g.usize_in(1..400);
+        drive(g, config, steps, 1, |g, _| {
+            let bank = if g.bool() { a } else { b };
+            RowAddr::new((bank % 2) as u8, 0, (bank / 2) as u8, g.u32_in(0..rows))
+        });
+    });
+}
+
+/// A handful of rows revisited across many filter rotations: cached
+/// buckets must keep matching a fresh hash after every reset.
+#[test]
+fn rows_revisited_across_rotations_match_dense_reference() {
+    check_cases(300, |g| {
+        let config = small_config(g);
+        let rows = g.u32_in(1..4);
+        let steps = g.usize_in(100..600);
+        drive(g, config, steps, 4, |g, row| {
+            if g.below(4) == 0 {
+                row_in(g, 5, rows)
+            } else {
+                row
             }
-            assert!(actions.is_empty());
-            assert_eq!(fast.estimate(row), dense.estimate(row));
-            assert_eq!(fast.delay_cycles(), dense.delay_cycles);
-            assert_eq!(fast.throttled(), dense.throttled);
-        }
+        });
+    });
+}
+
+/// Hundreds of distinct rows: the cache grows through many rehashes of
+/// its index, and every cached entry must stay the row's own.
+#[test]
+fn hundreds_of_distinct_rows_match_dense_reference() {
+    check_cases(50, |g| {
+        let mut config = small_config(g);
+        config.counters_per_bank = g.usize_in(64..512);
+        let steps = g.usize_in(1_000..3_000);
+        drive(g, config, steps, 1, |g, _| row_in(g, 5, 1024));
     });
 }
